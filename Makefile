@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-optimizer test-repair test-conc test-semcache test-shard bench bench-smoke lint lint-conc analyze-smoke trace-smoke verify
+.PHONY: test test-optimizer test-repair test-conc test-semcache test-bench bench bench-smoke lint lint-conc analyze-smoke trace-smoke verify
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -24,18 +24,17 @@ test-repair:
 test-semcache:
 	$(PYTHON) -m pytest tests/serve/test_semantic.py tests/serve/test_semantic_serve.py tests/embed/test_hashing.py tests/vector/test_indexes.py -q
 
-# The sharded-execution suites on their own: partitioning specs,
-# shard/worker equivalence and pruning, shard-merge trace determinism,
-# and a smoke pass of the E21 shard x fault sweep.
-test-shard:
-	$(PYTHON) -m pytest tests/db/test_sharding.py tests/obs/test_shard_trace.py -q
-	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_sharding.py -q
+# The repo benchmark's own tests (tagperf/): workload inputs, metric
+# extraction and the traced per-layer run.  Not collected by `test`,
+# whose testpaths are tests/ only.
+test-bench:
+	$(PYTHON) -m pytest tagperf/tests -q
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q
 
 bench-smoke:
-	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_resilience.py benchmarks/bench_repair.py benchmarks/bench_trace_overhead.py benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_racecheck.py benchmarks/bench_semcache.py benchmarks/bench_sharding.py -q
+	REPRO_SMOKE=1 $(PYTHON) -m pytest benchmarks/bench_resilience.py benchmarks/bench_repair.py benchmarks/bench_trace_overhead.py benchmarks/bench_udf_batching.py benchmarks/bench_optimizer.py benchmarks/bench_racecheck.py benchmarks/bench_semcache.py -q
 
 # The concurrency suites on their own: static-analyzer golden rules
 # and lockset properties, dynamic checker unit tests, and the serve
@@ -71,10 +70,11 @@ trace-smoke:
 	@rm -f benchmarks/out/trace-w1.json benchmarks/out/trace-w3.json
 	@echo "trace-smoke: byte-identical across worker counts"
 
-# The pre-merge gate: full tier-1 suite, the concurrency and
-# semantic-cache suites, a smoke-mode pass of the resilience, repair,
-# trace-overhead, race-check, and semantic-cache benchmarks, clean
-# determinism-lint and concurrency baselines, an analyzer round-trip
-# through the CLI, and the trace worker-invariance smoke.
-verify: test test-conc test-semcache bench-smoke lint lint-conc analyze-smoke trace-smoke
+# The pre-merge gate: full tier-1 suite, the concurrency,
+# semantic-cache and benchmark-harness suites, a smoke-mode pass of the
+# resilience, repair, trace-overhead, race-check, and semantic-cache
+# benchmarks, clean determinism-lint and concurrency baselines, an
+# analyzer round-trip through the CLI, and the trace worker-invariance
+# smoke.
+verify: test test-conc test-semcache test-bench bench-smoke lint lint-conc analyze-smoke trace-smoke
 	@echo "verify: OK"

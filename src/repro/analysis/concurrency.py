@@ -1,9 +1,10 @@
 """Static concurrency-safety analyzer (``python -m repro lint --conc``).
 
-ROADMAP item 2 (sharded, multi-core execution) will multiply the number
-of threads mutating the serving layer's shared state; this module is
-the gate that must stay green before (and after) that refactor.  It is
-an interprocedural ``ast`` pass over ``src/repro/`` that
+Serve workers share the LM facade, the database, its UDF memo cache,
+the metrics registry, the tracer and the semantic cache across
+threads; this module is the static gate that keeps their mutations
+lock-guarded.  It is an interprocedural ``ast`` pass over
+``src/repro/`` that
 
 (a) builds a **class-attribute mutation map** per module — every
     ``self.x = ...`` / ``self.x += ...`` / ``self.x.append(...)`` /
@@ -89,8 +90,6 @@ SHARED_ROOTS = (
     "Tracer",
     "SemanticResultCache",
     "QueryRegistry",
-    "ShardDedup",
-    "Exchange",
 )
 
 #: Method names that mutate their receiver in place.

@@ -23,7 +23,6 @@ The public entry point is :class:`repro.db.Database`::
 from repro.db.catalog import Database
 from repro.db.result import ResultSet
 from repro.db.schema import Column, ForeignKey, TableSchema
-from repro.db.shard import PartitionSpec, ShardRuntime
 from repro.db.table import Table
 from repro.db.types import DataType
 from repro.db.udfcache import UDFMemoCache
@@ -33,9 +32,7 @@ __all__ = [
     "DataType",
     "Database",
     "ForeignKey",
-    "PartitionSpec",
     "ResultSet",
-    "ShardRuntime",
     "Table",
     "TableSchema",
     "UDFMemoCache",

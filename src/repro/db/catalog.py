@@ -11,7 +11,6 @@ from repro.db.expr import ExpressionCompiler
 from repro.db.functions import BatchFunction, FunctionRegistry
 from repro.db.plan import UDFExecContext
 from repro.db.planner import Planner
-from repro.db.shard import PartitionSpec, ShardRuntime
 from repro.db.udfcache import UDFMemoCache
 from repro.db.result import ResultSet, RowLayout
 from repro.db.schema import Column, ForeignKey, TableSchema
@@ -56,9 +55,6 @@ class Database:
         self.udf_cache = UDFMemoCache(udf_cache_capacity)
         self._udf_usage: Any = None
         self._udf_metrics: Any = None
-        #: Worker count / LM host for shard-parallel execution; scans
-        #: only shard once a table opts in via :meth:`set_partitioning`.
-        self.shard_runtime = ShardRuntime()
 
     # ------------------------------------------------------------------
     # catalog management
@@ -107,54 +103,6 @@ class Database:
     def create_index(self, table_name: str, column_name: str) -> None:
         """Build a hash index for equality lookups on one column."""
         self.table(table_name).create_index(column_name)
-
-    def set_partitioning(
-        self,
-        table_name: str,
-        column: str,
-        shards: int | None = None,
-        kind: str = "hash",
-        bounds: Sequence[Any] | None = None,
-    ) -> PartitionSpec:
-        """Partition a table on ``column`` for shard-parallel scans.
-
-        ``kind="hash"`` needs ``shards``; ``kind="range"`` derives the
-        shard count from ``bounds`` (``len(bounds) + 1`` shards).  The
-        planner shards eligible scans of a partitioned table into
-        :class:`~repro.db.plan.Exchange` pipelines — results, ordering,
-        traces, and shared counters are identical at any shard/worker
-        count (see DESIGN.md §16).  Returns the installed spec.
-        """
-        if kind == "hash":
-            if shards is None:
-                raise SchemaError("hash partitioning requires shards")
-            spec = PartitionSpec.hashed(column, shards)
-        elif kind == "range":
-            spec = PartitionSpec.ranged(column, tuple(bounds or ()))
-        else:
-            raise SchemaError(
-                f"partition kind must be 'hash' or 'range', got {kind!r}"
-            )
-        self.table(table_name).set_partitioning(spec)
-        return spec
-
-    def clear_partitioning(self, table_name: str) -> None:
-        """Remove a table's partitioning; its scans stop sharding."""
-        self.table(table_name).set_partitioning(None)
-
-    def configure_sharding(
-        self, workers: int = 4, lm: Any = None
-    ) -> ShardRuntime:
-        """Set the shard executor's worker budget and LM host.
-
-        ``lm`` is the serving-layer :class:`~repro.serve.BatchingLM`
-        (or compatible facade) shard threads open sessions on, letting
-        concurrent shards' UDF morsels coalesce at its flush barrier;
-        without one, UDF-bearing shards execute sequentially so the
-        simulated LM's accounting stays deterministic.
-        """
-        self.shard_runtime = ShardRuntime(workers=workers, lm=lm)
-        return self.shard_runtime
 
     # ------------------------------------------------------------------
     # UDFs

@@ -222,16 +222,20 @@ class ExpressionCompiler:
 
         def evaluate(row: Row) -> SQLValue:
             value = operand(row)
+            if value is None:
+                return None
+            # Numeric casts follow SQLite rather than the strict storage
+            # ``coerce``: a REAL truncates toward zero, TEXT yields its
+            # longest numeric prefix (0 when there is none), and INTEGER
+            # results saturate at the int64 bounds.
+            if target is dbtypes.DataType.INTEGER:
+                return _cast_integer(value)
+            if target is dbtypes.DataType.REAL:
+                return _cast_real(value)
             try:
                 return dbtypes.coerce(value, target)
             except Exception:
-                # SQLite-style lenient CAST: unparseable text becomes 0.
-                if target in (
-                    dbtypes.DataType.INTEGER,
-                    dbtypes.DataType.REAL,
-                ):
-                    return 0
-                return _to_text(value) if value is not None else None
+                return _to_text(value)
 
         return evaluate
 
@@ -388,7 +392,7 @@ class UDFCallError:
     """A memoized *failure*: re-raised whenever a row reads the slot.
 
     The batched path resolves distinct argument tuples ahead of row
-    evaluation, so a failing call must be parked rather than raised at
+    evaluation, so a failing call must be held rather than raised at
     dispatch time — the per-row oracle path only raises when the first
     row carrying the failing arguments is actually evaluated, and the
     batched path must surface the identical error at the identical row.
@@ -607,6 +611,36 @@ def _to_text(value: SQLValue) -> str:
     return str(value)
 
 
+_INT64_MIN = -(2**63)
+_INT64_MAX = 2**63 - 1
+
+#: SQLite's numeric text prefixes: leading whitespace is skipped, and
+#: everything after the longest integer / real literal is ignored.
+_INTEGER_PREFIX = re.compile(r"[ \t\n\v\f\r]*([+-]?[0-9]+)")
+_REAL_PREFIX = re.compile(
+    r"[ \t\n\v\f\r]*([+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+)
+
+
+def _cast_integer(value: SQLValue) -> int:
+    """``CAST(value AS INTEGER)`` for a non-NULL value, as SQLite does."""
+    if isinstance(value, str):
+        match = _INTEGER_PREFIX.match(value)
+        value = int(match.group(1)) if match else 0
+    elif isinstance(value, float) and value != value:  # NaN
+        return 0
+    # Clamp before int() so an infinite REAL never reaches it.
+    return int(max(min(value, _INT64_MAX), _INT64_MIN))
+
+
+def _cast_real(value: SQLValue) -> float:
+    """``CAST(value AS REAL)`` for a non-NULL value, as SQLite does."""
+    if isinstance(value, str):
+        match = _REAL_PREFIX.match(value)
+        return float(match.group(1)) if match else 0.0
+    return float(value)
+
+
 def _arithmetic(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
     def evaluate(row: Row) -> SQLValue:
         lhs, rhs = left(row), right(row)
@@ -632,9 +666,18 @@ def _arithmetic(op: str, left: Evaluator, right: Evaluator) -> Evaluator:
                 return int(quotient) if quotient == int(quotient) else quotient
             return lhs / rhs
         if op == "%":
-            if rhs == 0:
+            # SQLite: REAL operands are cast to INTEGER first (the
+            # result stays REAL), a zero divisor yields NULL, and the
+            # remainder takes the dividend's sign.
+            dividend, divisor = _cast_integer(lhs), _cast_integer(rhs)
+            if divisor == 0:
                 return None
-            return lhs % rhs
+            remainder = abs(dividend) % abs(divisor)
+            if dividend < 0:
+                remainder = -remainder
+            if isinstance(lhs, float) or isinstance(rhs, float):
+                return float(remainder)
+            return remainder
         raise PlanningError(f"unknown arithmetic operator {op!r}")
 
     return evaluate

@@ -11,6 +11,7 @@ expensive LM predicate sees as few rows as possible.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from typing import Any
@@ -170,18 +171,29 @@ def _null_if_any_null(function: ScalarFunction) -> ScalarFunction:
 
 
 def _substr(text: str, start: int, length: int | None = None) -> str:
-    # SQL SUBSTR is 1-based; negative start counts from the end.
-    if start > 0:
-        begin = start - 1
-    elif start < 0:
-        begin = max(len(text) + start, 0)
-    else:
-        begin = 0
-    if length is None:
-        return text[begin:]
-    if length < 0:
-        return ""
-    return text[begin : begin + length]
+    # SQLite's substr(): 1-based; start 0 sits one before the first
+    # character, a negative start counts from the end, and a negative
+    # length takes the characters *preceding* start.
+    size = len(text)
+    begin = int(start)
+    count = sys.maxsize if length is None else int(length)
+    backwards = count < 0
+    count = abs(count)
+    if begin < 0:
+        begin += size
+        if begin < 0:
+            count = max(count + begin, 0)
+            begin = 0
+    elif begin > 0:
+        begin -= 1
+    elif count > 0:
+        count -= 1
+    if backwards:
+        begin -= count
+        if begin < 0:
+            count += begin
+            begin = 0
+    return text[begin : begin + count]
 
 
 def _round(value: float, digits: int = 0) -> float:
@@ -267,7 +279,10 @@ def _count_spec() -> AggregateSpec:
     return AggregateSpec(lambda: 0, step, lambda state: state)
 
 
-def _sum_spec(empty_result: SQLValue) -> AggregateSpec:
+def _sum_spec(total: bool) -> AggregateSpec:
+    """SUM, or TOTAL when ``total``: TOTAL is always REAL and is 0.0
+    (not NULL) over no non-NULL values."""
+
     def step(state: SQLValue, value: SQLValue) -> SQLValue:
         if value is None:
             return state
@@ -276,7 +291,9 @@ def _sum_spec(empty_result: SQLValue) -> AggregateSpec:
         return value if state is None else state + value
 
     def finish(state: SQLValue) -> SQLValue:
-        return empty_result if state is None else state
+        if total:
+            return 0.0 if state is None else float(state)
+        return state
 
     return AggregateSpec(lambda: None, step, finish)
 
@@ -324,8 +341,8 @@ def _group_concat_spec() -> AggregateSpec:
 
 def _register_builtin_aggregates(registry: FunctionRegistry) -> None:
     registry.register_aggregate("COUNT", _count_spec())
-    registry.register_aggregate("SUM", _sum_spec(empty_result=None))
-    registry.register_aggregate("TOTAL", _sum_spec(empty_result=0.0))
+    registry.register_aggregate("SUM", _sum_spec(total=False))
+    registry.register_aggregate("TOTAL", _sum_spec(total=True))
     registry.register_aggregate("AVG", _avg_spec())
     registry.register_aggregate("MIN", _minmax_spec(pick_max=False))
     registry.register_aggregate("MAX", _minmax_spec(pick_max=True))

@@ -95,9 +95,6 @@ class OptimizerReport:
     est_per_row_tokens: int = 0
     est_chosen_calls: int = 0
     est_chosen_tokens: int = 0
-    #: Shards eliminated by partition pruning (equality/IN on the
-    #: partition key); mirrored to ``repro_shard_pruned_total``.
-    shards_pruned: int = 0
     decisions: list[Decision] = field(default_factory=list)
 
     def add(self, rule: str, detail: str) -> None:
@@ -128,10 +125,6 @@ class OptimizerReport:
             for decision in self.decisions:
                 slug = decision.rule.replace("-", "_")
                 metrics.counter(f"repro_optimizer_{slug}_total").inc(1)
-            if self.shards_pruned:
-                metrics.counter("repro_shard_pruned_total").inc(
-                    self.shards_pruned
-                )
 
 
 class QueryOptimizer:
@@ -385,41 +378,6 @@ class QueryOptimizer:
             f"(est rows {below} below vs {above} after join)",
         )
         return False
-
-    def note_shard(
-        self,
-        table,
-        spec,
-        pipelines: int,
-        prunable: bool,
-        pruned: int,
-    ) -> None:
-        """Record a shard-parallel plan choice (and any pruning).
-
-        Deliberately *not* gated on ``_lm_relevant``: sharding applies
-        to purely relational scans too, and the EXPLAIN footer must say
-        why a scan fanned out.  The pruning decision is emitted whenever
-        a prunable predicate was found — even when it pruned nothing —
-        so the decision *count* is invariant across shard counts.
-        """
-        self.report.add(
-            "shard-parallel",
-            f"{table.schema.name}: {spec.describe()} -> "
-            f"{pipelines} pipeline(s)",
-        )
-        if prunable:
-            self.report.shards_pruned += pruned
-            self.report.add(
-                "shard-pruning",
-                f"partition-key predicate pruned {pruned} of "
-                f"{spec.shards} shard(s)",
-            )
-
-    def note_shard_declined(self, table, reason: str) -> None:
-        """Record why a partitioned table's scan stayed unsharded."""
-        self.report.add(
-            "shard-declined", f"{table.schema.name}: {reason}"
-        )
 
     def note_cheap_pushdown(
         self, count: int, join: physical.PlanNode

@@ -8,11 +8,8 @@ an ``explain()`` line used by tests and diagnostics.
 
 from __future__ import annotations
 
-import heapq
-import threading
 from collections import defaultdict
 from collections.abc import Callable, Iterator
-from contextlib import nullcontext
 from itertools import islice
 
 from repro.db.expr import (
@@ -24,20 +21,10 @@ from repro.db.expr import (
 )
 from repro.db.functions import AggregateSpec
 from repro.db.result import Row, RowLayout
-from repro.db.shard import (
-    PartitionSpec,
-    ShardContext,
-    ShardDedup,
-    ShardRowError,
-    ShardRuntime,
-    merge_cache_events,
-    next_shard_thread_name,
-)
 from repro.db.table import Table
 from repro.db.types import SQLValue, sort_key
 from repro.db.udfcache import UDFMemoCache
 from repro.errors import ExecutionError
-from repro.obs import racecheck
 
 
 class PlanNode:
@@ -774,579 +761,3 @@ class Values(PlanNode):
 
     def _describe(self) -> str:
         return f"Values({len(self.rows)} row(s))"
-
-
-# ---------------------------------------------------------------------------
-# Sharded execution (exchange-style parallelism over partitioned tables)
-#
-# A shardable WHERE region is planned as N per-shard pipelines under one
-# Exchange:
-#
-#     Merge                      <- strips the tag, restores scan layout
-#       Exchange(shards=N)       <- runs pipelines on threads, k-way merge
-#         ShardScan -> [ShardFilter] -> [ShardBatchedFilter...] (x N)
-#
-# Every shard row carries one trailing *tag*: the row's global id in the
-# table's insertion order.  Tags make the merged output order — and
-# therefore Sort's input-position tie-break, LIMIT under duplicates, and
-# which row an error surfaces at — a pure function of the data,
-# independent of shard count, worker count, and thread timing.
-# ---------------------------------------------------------------------------
-
-
-class ShardScan(PlanNode):
-    """Scan of one partition, yielding rows tagged with global row ids.
-
-    The advertised ``layout`` is the *untagged* scan layout: evaluators
-    compiled against it index positions strictly below the tag, so they
-    run unchanged on tagged tuples.  :class:`Merge` strips the tag
-    before anything above the exchange sees a row.
-    """
-
-    def __init__(
-        self,
-        table: Table,
-        binding: str,
-        spec: PartitionSpec,
-        shard_id: int,
-    ) -> None:
-        self.table = table
-        self.binding = binding
-        self.spec = spec
-        self.shard_id = shard_id
-        self.layout = RowLayout(
-            [(binding, name) for name in table.schema.column_names]
-        )
-
-    def execute(self) -> Iterator[Row]:
-        rows = self.table.rows
-        for row_id in self.table.partition_row_ids()[self.shard_id]:
-            yield rows[row_id] + (row_id,)
-
-    def _describe(self) -> str:
-        return (
-            f"ShardScan({self.table.schema.name} AS {self.binding}, "
-            f"{self.spec.describe()}, shard={self.shard_id})"
-        )
-
-
-class ShardFilter(PlanNode):
-    """Cheap filter inside a shard pipeline; tags per-row failures."""
-
-    def __init__(
-        self, child: PlanNode, predicate: Evaluator, label: str = ""
-    ) -> None:
-        self.child = child
-        self.predicate = predicate
-        self.label = label
-        self.layout = child.layout
-
-    def execute(self) -> Iterator[Row]:
-        predicate = self.predicate
-        for row in self.child.execute():
-            try:
-                keep = is_true(predicate(row))
-            except Exception as exc:
-                raise ShardRowError(row[-1], exc) from exc
-            if keep:
-                yield row
-
-    def _describe(self) -> str:
-        return (
-            f"ShardFilter({self.label})" if self.label else "ShardFilter"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
-
-
-def _dispatch_owned(
-    site: UDFCallSite,
-    owned: list[tuple[MemoKey, object]],
-    context: ShardContext,
-    stats: dict[str, int],
-    ordinal: int,
-    site_idx: int,
-    first_tag: dict[MemoKey, int],
-) -> None:
-    """The unsharded dispatch tail over the keys this shard owns.
-
-    Mirrors :func:`_resolve_morsel` exactly — cascade cheap tier, then
-    one batch dispatch (or per-tuple scalar fallback) — but resolves
-    each key's rendezvous slot as its value lands, and records cache
-    events instead of touching the live cache.
-    """
-    pending = [key for key, _ in owned]
-    slots = {key: slot for key, slot in owned}
-    dedup = context.dedup
-    if pending and site.cheap_function is not None:
-        answers = _cheap_tier_answers(site, pending)
-        escalated: list[MemoKey] = []
-        cheap_hits = 0
-        for key, answer in zip(pending, answers):
-            if answer is None:
-                escalated.append(key)
-                continue
-            site.memo[key] = answer
-            context.record_new(
-                ordinal, site_idx, key, first_tag[key], answer
-            )
-            dedup.resolve(slots[key], answer)
-            cheap_hits += 1
-        context.tally(stats, "cascade_cheap_hits", cheap_hits)
-        context.tally(stats, "cascade_escalations", len(escalated))
-        pending = escalated
-    if not pending:
-        return
-    context.tally(stats, "udf_cache_misses", len(pending))
-    context.tally(stats, "lm_calls", len(pending))
-    resolved: list[SQLValue] | None = None
-    if site.batch_function is not None:
-        context.tally(stats, "lm_batches", 1)
-        try:
-            resolved = list(
-                site.batch_function([key[1] for key in pending])
-            )
-        except Exception:
-            resolved = None
-        else:
-            if len(resolved) != len(pending):
-                raise ExecutionError(
-                    f"batch form of {site.name} returned "
-                    f"{len(resolved)} results for {len(pending)} "
-                    "argument tuples"
-                )
-    if resolved is not None:
-        for key, value in zip(pending, resolved):
-            site.memo[key] = value
-            context.record_new(
-                ordinal, site_idx, key, first_tag[key], value
-            )
-            dedup.resolve(slots[key], value)
-    else:
-        for key in pending:
-            value = site.call_scalar(key[1])
-            site.memo[key] = value
-            if not isinstance(value, UDFCallError):
-                context.record_new(
-                    ordinal, site_idx, key, first_tag[key], value
-                )
-            dedup.resolve(slots[key], value)
-
-
-def _resolve_morsel_sharded(
-    sites: list[UDFCallSite],
-    rows: list[Row],
-    context: ShardContext,
-    stats: dict[str, int],
-    ordinal: int,
-) -> None:
-    """Shard-parallel twin of :func:`_resolve_morsel` over tagged rows.
-
-    Differences from the unsharded resolver, and nothing else:
-
-    * cache reads come from the statement-start snapshot (via
-      ``context``), and cache effects are *recorded* for the post-join
-      replay instead of applied;
-    * keys not served by memo or snapshot go through the cross-shard
-      :class:`~repro.db.shard.ShardDedup` — the first shard to claim a
-      key dispatches it, the rest wait (session parked) and memoize the
-      owner's result as a cache hit, so the dispatched set is identical
-      at every shard count;
-    * owners resolve their own keys *before* waiting on anyone else's
-      (wait-free progress), and abort-resolve them with a parked
-      :class:`~repro.db.expr.UDFCallError` on a dispatch-level failure
-      so cross-shard waiters can never hang.
-    """
-    for site_idx, site in enumerate(sites):
-        pending: list[MemoKey] = []
-        pending_keys: set[MemoKey] = set()
-        first_tag: dict[MemoKey, int] = {}
-        hits = 0
-        for row in rows:
-            try:
-                key = site.key(row)
-            except Exception:
-                continue  # argument error; re-raised per row later
-            if key not in first_tag:
-                first_tag[key] = row[-1]
-            if key in site.memo or key in pending_keys:
-                hits += 1
-                continue
-            found, value = context.snapshot_lookup(key)
-            if found:
-                site.memo[key] = value
-                context.record_hit(
-                    ordinal, site_idx, key, first_tag[key]
-                )
-                hits += 1
-                continue
-            pending_keys.add(key)
-            pending.append(key)
-        owned: list[tuple[MemoKey, object]] = []
-        foreign: list[tuple[MemoKey, object]] = []
-        dedup = context.dedup
-        for key in pending:
-            is_owner, slot = dedup.claim((ordinal, site_idx, key))
-            if is_owner:
-                owned.append((key, slot))
-            else:
-                foreign.append((key, slot))
-        try:
-            _dispatch_owned(
-                site, owned, context, stats, ordinal, site_idx, first_tag
-            )
-        finally:
-            # A dispatch-level error (e.g. a wrong-length batch result)
-            # aborts this morsel; park the failure into any slot we
-            # claimed but never filled so other shards' waiters wake.
-            for key, slot in owned:
-                if not slot.done:
-                    dedup.resolve(
-                        slot,
-                        UDFCallError(
-                            ExecutionError(
-                                f"shard dispatch of {site.name} aborted"
-                            )
-                        ),
-                    )
-        for key, slot in foreign:
-            value = dedup.wait(slot)
-            site.memo[key] = value
-            if not isinstance(value, UDFCallError):
-                context.record_new(
-                    ordinal, site_idx, key, first_tag[key], value
-                )
-            hits += 1
-        context.tally(stats, "udf_cache_hits", hits)
-
-
-class ShardBatchedFilter(PlanNode):
-    """Batched-UDF filter inside a shard pipeline (tagged rows)."""
-
-    def __init__(
-        self,
-        child: PlanNode,
-        predicate: Evaluator,
-        sites: list[UDFCallSite],
-        context: ShardContext,
-        batch_size: int,
-        ordinal: int,
-        label: str = "",
-    ) -> None:
-        if batch_size < 1:
-            raise ExecutionError(
-                f"udf_batch_size must be >= 1, got {batch_size}"
-            )
-        self.child = child
-        self.predicate = predicate
-        self.sites = sites
-        self.context = context
-        self.batch_size = batch_size
-        self.ordinal = ordinal
-        self.label = label
-        self.layout = child.layout
-        self.exec_stats = _fresh_exec_stats(sites)
-
-    def execute(self) -> Iterator[Row]:
-        predicate = self.predicate
-        source = self.child.execute()
-        while True:
-            morsel = list(islice(source, self.batch_size))
-            if not morsel:
-                return
-            try:
-                _resolve_morsel_sharded(
-                    self.sites,
-                    morsel,
-                    self.context,
-                    self.exec_stats,
-                    self.ordinal,
-                )
-            except ShardRowError:
-                raise
-            except Exception as exc:
-                raise ShardRowError(morsel[0][-1], exc) from exc
-            for row in morsel:
-                try:
-                    keep = is_true(predicate(row))
-                except Exception as exc:
-                    raise ShardRowError(row[-1], exc) from exc
-                if keep:
-                    yield row
-
-    def _describe(self) -> str:
-        label = f"{self.label}, " if self.label else ""
-        return (
-            f"ShardBatchedFilter({label}batch={self.batch_size}, "
-            f"sites={len(self.sites)})"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
-
-
-class ShardBatchedProject(PlanNode):
-    """Batched-UDF projection inside a shard pipeline.
-
-    Projects each resolved row and re-appends its tag, so the merge
-    above still sees globally ordered tuples.
-    """
-
-    def __init__(
-        self,
-        child: PlanNode,
-        evaluators: list[Evaluator],
-        layout: RowLayout,
-        sites: list[UDFCallSite],
-        context: ShardContext,
-        batch_size: int,
-        ordinal: int,
-    ) -> None:
-        if batch_size < 1:
-            raise ExecutionError(
-                f"udf_batch_size must be >= 1, got {batch_size}"
-            )
-        self.child = child
-        self.evaluators = evaluators
-        self.layout = layout
-        self.sites = sites
-        self.context = context
-        self.batch_size = batch_size
-        self.ordinal = ordinal
-        self.exec_stats = _fresh_exec_stats(sites)
-
-    def execute(self) -> Iterator[Row]:
-        evaluators = self.evaluators
-        source = self.child.execute()
-        while True:
-            morsel = list(islice(source, self.batch_size))
-            if not morsel:
-                return
-            try:
-                _resolve_morsel_sharded(
-                    self.sites,
-                    morsel,
-                    self.context,
-                    self.exec_stats,
-                    self.ordinal,
-                )
-            except ShardRowError:
-                raise
-            except Exception as exc:
-                raise ShardRowError(morsel[0][-1], exc) from exc
-            for row in morsel:
-                try:
-                    projected = tuple(
-                        evaluate(row) for evaluate in evaluators
-                    )
-                except Exception as exc:
-                    raise ShardRowError(row[-1], exc) from exc
-                yield projected + (row[-1],)
-
-    def _describe(self) -> str:
-        return (
-            f"ShardBatchedProject({', '.join(self.layout.names)}, "
-            f"batch={self.batch_size}, sites={len(self.sites)})"
-        )
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]
-
-
-def _shard_stat_nodes(pipeline: PlanNode) -> list[PlanNode]:
-    """Stat-carrying nodes of one shard pipeline, in top-down order."""
-    nodes: list[PlanNode] = []
-    stack = [pipeline]
-    while stack:
-        node = stack.pop()
-        if hasattr(node, "exec_stats"):
-            nodes.append(node)
-        stack.extend(reversed(node._children()))
-    return nodes
-
-
-class Exchange(PlanNode):
-    """Runs per-shard pipelines on threads; merges tagged rows.
-
-    Execution contract (the determinism spine of the whole feature):
-
-    * shards run in waves of at most ``runtime.workers`` threads; a
-      wave's LM sessions are opened on the caller's thread in shard
-      order with orders derived from the caller's own session, so
-      micro-batch composition is a pure function of the workload;
-    * the caller's session is *parked* for the duration — it is
-      waiting on the shards, not on its own LM call — otherwise the
-      flush barrier the shards need could never complete;
-    * shard threads buffer all Usage/metrics/cache effects; after the
-      join the caller replays them in canonical order (shard order for
-      tallies, plan-order-then-first-occurrence for cache events), so
-      every shared counter is byte-identical at any shard/worker count;
-    * rows are k-way merged by tag; on shard errors the rows strictly
-      before the smallest error tag are yielded, then that error is
-      re-raised — the same first-failing-row the unsharded order hits.
-
-    Shards with UDF sites but no configured LM host run sequentially
-    (still on spawned threads, so traces cannot tell the difference):
-    concurrent bare calls into a SimulatedLM would accumulate its float
-    meters in scheduling order.
-    """
-
-    def __init__(
-        self,
-        shards: list[PlanNode],
-        contexts: list[ShardContext],
-        context: UDFExecContext,
-        runtime: ShardRuntime,
-    ) -> None:
-        if not shards:
-            raise ExecutionError("Exchange requires at least one shard")
-        self.shards = shards
-        self.contexts = contexts
-        self.context = context
-        self.runtime = runtime
-        self.layout = shards[0].layout
-        self.exec_stats: dict[str, int] = {}
-        #: Stable operator label for trace spans: span names must not
-        #: leak the shard count (see repro.obs.explain).
-        self.trace_describe = "Exchange"
-
-    def execute(self) -> Iterator[Row]:
-        sites = [
-            site
-            for node in _shard_stat_nodes(self.shards[0])
-            for site in getattr(node, "sites", [])
-        ]
-        has_sites = bool(sites)
-        if has_sites:
-            for key, value in _fresh_exec_stats(sites).items():
-                self.exec_stats.setdefault(key, value)
-        lm = self.runtime.lm if has_sites else None
-        snapshot: dict = {}
-        if has_sites and self.context.cache is not None:
-            snapshot = self.context.cache.snapshot()
-        dedup = ShardDedup(lm)
-        for shard_context in self.contexts:
-            shard_context.begin(snapshot, dedup)
-        count = len(self.shards)
-        results: list[list[Row]] = [[] for _ in range(count)]
-        errors: list[ShardRowError | None] = [None] * count
-        if has_sites and lm is None:
-            concurrency = 1
-        else:
-            concurrency = self.runtime.workers
-        parent = lm.current_session() if lm is not None else None
-        parked = lm.parked() if lm is not None else nullcontext()
-        with parked:
-            for start in range(0, count, concurrency):
-                wave = list(range(start, min(start + concurrency, count)))
-                sessions: dict[int, object] = {}
-                if lm is not None:
-                    for shard_id in wave:
-                        order = None
-                        if parent is not None:
-                            order = (
-                                (parent.order + 1) * 1_000_000 + shard_id
-                            )
-                        sessions[shard_id] = lm.open_session(order)
-                threads: list[threading.Thread] = []
-                for shard_id in wave:
-                    name = next_shard_thread_name(shard_id)
-                    thread = threading.Thread(
-                        target=self._run_shard,
-                        args=(
-                            shard_id,
-                            sessions.get(shard_id),
-                            lm,
-                            results,
-                            errors,
-                        ),
-                        name=name,
-                    )
-                    racecheck.fork(name)
-                    thread.start()
-                    threads.append(thread)
-                for thread in threads:
-                    thread.join()
-                    racecheck.join(thread.name)
-        # Replay buffered effects on the caller's thread, in canonical
-        # order: operator tallies shard by shard (mirroring Usage and
-        # metrics through the real context), then cache events by call
-        # site and global first occurrence.
-        for shard_id, pipeline in enumerate(self.shards):
-            racecheck.read(f"Exchange.shard.{shard_id}")
-            for node in _shard_stat_nodes(pipeline):
-                for key, amount in node.exec_stats.items():
-                    self.context.tally(self.exec_stats, key, amount)
-        if has_sites and self.context.cache is not None:
-            for _site, kind, key, value in merge_cache_events(
-                self.contexts
-            ):
-                if kind == "hit":
-                    self.context.cache.lookup(key)
-                else:
-                    self.context.cache.put(key, value)
-        first_error: ShardRowError | None = None
-        for error in errors:
-            if error is not None and (
-                first_error is None or error.tag < first_error.tag
-            ):
-                first_error = error
-        for row in heapq.merge(*results, key=lambda row: row[-1]):
-            if first_error is not None and row[-1] >= first_error.tag:
-                break
-            yield row
-        if first_error is not None:
-            raise first_error.error
-
-    def _run_shard(
-        self,
-        shard_id: int,
-        session: object,
-        lm: object,
-        results: list[list[Row]],
-        errors: list[ShardRowError | None],
-    ) -> None:
-        rows: list[Row] = []
-        error: ShardRowError | None = None
-        try:
-            if session is not None:
-                lm.bind(session)
-            try:
-                for row in self.shards[shard_id].execute():
-                    rows.append(row)
-            except ShardRowError as exc:
-                error = exc
-            except Exception as exc:  # noqa: BLE001 - tagged and re-raised
-                error = ShardRowError(-1, exc)
-        finally:
-            if session is not None:
-                lm.close_session(session)
-            racecheck.write(f"Exchange.shard.{shard_id}")
-            results[shard_id] = rows
-            errors[shard_id] = error
-
-    def _describe(self) -> str:
-        return f"Exchange(shards={len(self.shards)})"
-
-    def _children(self) -> list[PlanNode]:
-        return list(self.shards)
-
-
-class Merge(PlanNode):
-    """Strips shard tags; output order is the global scan order."""
-
-    def __init__(self, child: Exchange) -> None:
-        self.child = child
-        self.layout = child.layout
-        self.trace_describe = "Merge"
-
-    def execute(self) -> Iterator[Row]:
-        for row in self.child.execute():
-            yield row[:-1]
-
-    def _describe(self) -> str:
-        return "Merge"
-
-    def _children(self) -> list[PlanNode]:
-        return [self.child]

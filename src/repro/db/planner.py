@@ -33,21 +33,15 @@ from collections.abc import Iterator
 from typing import TYPE_CHECKING
 
 from repro.db import plan as physical
-from repro.db import types as dbtypes
 from repro.db.expr import ExpressionCompiler, plan_batched_expressions
 from repro.db.functions import AggregateSpec, FunctionRegistry
 from repro.db.result import ResultSet, Row, RowLayout
-from repro.db.shard import PartitionSpec, ShardContext
 from repro.db.sql import ast
 from repro.errors import PlanningError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.db.catalog import Database
     from repro.db.optimizer import QueryOptimizer
-
-#: Dedup/replay ordinal for the (single) sharded projection stage; far
-#: above any WHERE-conjunct ordinal so cache events replay in plan order.
-_SHARD_PROJECT_ORDINAL = 1_000_000
 
 
 def _first_spec() -> AggregateSpec:
@@ -84,13 +78,6 @@ class Planner:
         #: (reorder/pushdown rationale) and steers expensive-conjunct
         #: placement and the cascade route.  None under optimize=False.
         self._optimizer = optimizer
-        #: The SELECT currently being planned, for the sharding
-        #: eligibility rules; plan_select saves/restores both fields
-        #: around recursion so subquery planning cannot clobber them.
-        self._shard_select: ast.Select | None = None
-        #: The Merge capping a freshly sharded WHERE region, while the
-        #: projection step may still push expensive work into it.
-        self._open_merge: physical.Merge | None = None
 
     # ------------------------------------------------------------------
     # public entry points
@@ -101,19 +88,6 @@ class Planner:
         return ResultSet(names, list(plan.execute()))
 
     def plan_select(
-        self, select: ast.Select
-    ) -> tuple[physical.PlanNode, list[str]]:
-        saved_select = self._shard_select
-        saved_merge = self._open_merge
-        self._shard_select = select
-        self._open_merge = None
-        try:
-            return self._plan_select(select)
-        finally:
-            self._shard_select = saved_select
-            self._open_merge = saved_merge
-
-    def _plan_select(
         self, select: ast.Select
     ) -> tuple[physical.PlanNode, list[str]]:
         source = self._build_source(select.source)
@@ -268,11 +242,10 @@ class Planner:
     def _apply_where(
         self, source: physical.PlanNode, conjuncts: list[ast.Expression]
     ) -> physical.PlanNode:
-        if conjuncts and self._optimize:
+        if not conjuncts:
+            return source
+        if self._optimize:
             source, conjuncts = self._push_down(source, conjuncts)
-        sharded = self._maybe_shard(source, conjuncts)
-        if sharded is not None:
-            return sharded
         return self._attach_filters(source, conjuncts)
 
     def _push_down(
@@ -430,256 +403,6 @@ class Planner:
         return physical.Filter(
             node, compiler.compile(conjunct), label="where[expensive]"
         )
-
-    # ------------------------------------------------------------------
-    # sharding
-    # ------------------------------------------------------------------
-
-    def _maybe_shard(
-        self, source: physical.PlanNode, conjuncts: list[ast.Expression]
-    ) -> physical.PlanNode | None:
-        """Plan the WHERE region as shard-parallel pipelines, when safe.
-
-        Applies only to an optimized scan of a partitioned table whose
-        statement has no subqueries and no streaming-prefix LIMIT, and
-        whose expensive conjuncts (if any) ride the batched route —
-        exactly the shapes where the exchange provably preserves rows,
-        order, traces, and every shared counter (see
-        :class:`repro.db.plan.Exchange`).  Returns None to fall back to
-        the ordinary single-threaded plan.
-        """
-        if not self._optimize:
-            return None
-        if not isinstance(source, physical.Scan):
-            return None
-        spec = source.table.partition_spec
-        if spec is None:
-            return None
-        select = self._shard_select
-        if select is None:
-            return None
-        decline = self._shard_decline_reason(select, conjuncts)
-        if decline is not None:
-            if self._optimizer is not None:
-                self._optimizer.note_shard_declined(source.table, decline)
-            return None
-        cheap = [c for c in conjuncts if not self._is_expensive(c)]
-        expensive = [c for c in conjuncts if self._is_expensive(c)]
-        survivors, prunable = self._prune_shards(spec, source, conjuncts)
-        pruned = spec.shards - len(survivors)
-        if not survivors:
-            if self._optimizer is not None:
-                self._optimizer.note_shard(
-                    source.table, spec, 0, prunable, pruned
-                )
-            return physical.Values([], source.layout)
-        if self._optimizer is not None:
-            self._optimizer.note_reorder(cheap, expensive, source)
-        pipelines: list[physical.PlanNode] = []
-        contexts: list[ShardContext] = []
-        for shard_id in survivors:
-            pipeline, shard_context = self._shard_pipeline(
-                source, spec, shard_id, cheap, expensive
-            )
-            if pipeline is None or shard_context is None:
-                # The conjunct's expensive calls all sit in conditional
-                # positions: no strict sites to batch, so sharding would
-                # put per-row LM calls on shard threads.  Stay unsharded.
-                if self._optimizer is not None:
-                    self._optimizer.note_shard_declined(
-                        source.table,
-                        "expensive conjunct has no batchable call sites",
-                    )
-                return None
-            pipelines.append(pipeline)
-            contexts.append(shard_context)
-        if self._optimizer is not None:
-            self._optimizer.note_shard(
-                source.table, spec, len(pipelines), prunable, pruned
-            )
-        exchange = physical.Exchange(
-            pipelines,
-            contexts,
-            self._udf_exec_context(),
-            self._catalog.shard_runtime,
-        )
-        merge = physical.Merge(exchange)
-        self._open_merge = merge
-        return merge
-
-    def _shard_decline_reason(
-        self, select: ast.Select, conjuncts: list[ast.Expression]
-    ) -> str | None:
-        for expression in _select_expressions(select):
-            for node in ast.walk(expression, into_subqueries=True):
-                if isinstance(
-                    node,
-                    (
-                        ast.InSubquery,
-                        ast.ExistsSubquery,
-                        ast.ScalarSubquery,
-                    ),
-                ):
-                    return "statement contains a subquery"
-        if select.limit is not None and not select.order_by:
-            # An un-ordered LIMIT is a streaming prefix: the unsharded
-            # plan stops pulling (and stops calling the LM) after LIMIT
-            # rows, while shards materialize their whole partitions.
-            return "LIMIT without ORDER BY streams a prefix"
-        if self._udf_batch_size is None and any(
-            self._is_expensive(conjunct) for conjunct in conjuncts
-        ):
-            return "expensive conjuncts are pinned to the per-row route"
-        return None
-
-    def _shard_pipeline(
-        self,
-        source: physical.Scan,
-        spec: PartitionSpec,
-        shard_id: int,
-        cheap: list[ast.Expression],
-        expensive: list[ast.Expression],
-    ) -> tuple[physical.PlanNode | None, ShardContext | None]:
-        """One shard's pipeline, compiled fresh: evaluators and call
-        sites hold per-shard state (memos, LIKE caches), so nothing
-        compiled is ever shared across shard threads."""
-        node: physical.PlanNode = physical.ShardScan(
-            source.table, source.binding, spec, shard_id
-        )
-        shard_context = ShardContext()
-        if cheap:
-            compiler = self._compiler(node.layout)
-            node = physical.ShardFilter(
-                node, compiler.compile(_and_all(cheap)), label="where"
-            )
-        for ordinal, conjunct in enumerate(expensive):
-            assert self._udf_batch_size is not None  # declined otherwise
-            sites, evaluators = plan_batched_expressions(
-                [conjunct],
-                node.layout,
-                self._functions,
-                self,
-                cascade=self._cascade(),
-            )
-            if not sites:
-                return None, None
-            node = physical.ShardBatchedFilter(
-                node,
-                evaluators[0],
-                sites,
-                shard_context,
-                self._udf_batch_size,
-                ordinal,
-                label="where[expensive]",
-            )
-        return node, shard_context
-
-    def _prune_shards(
-        self,
-        spec: PartitionSpec,
-        scan: physical.Scan,
-        conjuncts: list[ast.Expression],
-    ) -> tuple[list[int], bool]:
-        """(surviving shard ids, whether any conjunct was prunable).
-
-        Equality and IN predicates on the partition key restrict which
-        shards can hold matching rows; the conjunct still runs as an
-        in-shard filter, so pruning is purely an execution saving.
-        """
-        survivors = set(range(spec.shards))
-        prunable = False
-        for conjunct in conjuncts:
-            values = _partition_key_values(conjunct, spec, scan)
-            if values is None:
-                continue
-            allowed = self._shards_for_values(spec, scan, values)
-            if allowed is None:
-                continue
-            prunable = True
-            survivors &= allowed
-        return sorted(survivors), prunable
-
-    def _shards_for_values(
-        self,
-        spec: PartitionSpec,
-        scan: physical.Scan,
-        values: list[object],
-    ) -> set[int] | None:
-        """Shards that could hold rows equal to any of ``values``.
-
-        Literals are coerced to the key column's type first (the same
-        canonicalization the partitioner applies to stored rows); a
-        value that cannot be coerced makes the whole conjunct
-        non-prunable rather than risking an over-prune.  NULL literals
-        match no row under ``=``/``IN``, so they constrain to nothing.
-        """
-        schema = scan.table.schema
-        dtype = schema.columns[schema.column_index(spec.column)].dtype
-        allowed: set[int] = set()
-        for value in values:
-            if value is None:
-                continue
-            try:
-                coerced = dbtypes.coerce(value, dtype)
-            except Exception:
-                return None
-            allowed.add(spec.shard_of(coerced))
-        return allowed
-
-    def _shard_projection(
-        self,
-        source: physical.PlanNode,
-        expressions: list[ast.Expression],
-        layout: RowLayout,
-    ) -> physical.PlanNode | None:
-        """Push an expensive projection into an open shard region.
-
-        Replaces each shard pipeline with a
-        :class:`~repro.db.plan.ShardBatchedProject` over it, so
-        projection LM morsels run shard-parallel and meet the other
-        shards' batches at the flush barrier.  Cheap projections stay
-        above the merge: there is nothing to overlap.
-        """
-        merge = self._open_merge
-        if merge is None or source is not merge:
-            return None
-        if self._udf_batch_size is None:
-            return None
-        if not any(
-            self._functions.contains_expensive(expression)
-            for expression in expressions
-        ):
-            return None
-        exchange = merge.child
-        replacements: list[physical.PlanNode] = []
-        for pipeline, shard_context in zip(
-            exchange.shards, exchange.contexts
-        ):
-            sites, evaluators = plan_batched_expressions(
-                expressions,
-                pipeline.layout,
-                self._functions,
-                self,
-                cascade=self._cascade(),
-            )
-            if not sites:
-                return None  # conditional-only; project above the merge
-            replacements.append(
-                physical.ShardBatchedProject(
-                    pipeline,
-                    evaluators,
-                    layout,
-                    sites,
-                    shard_context,
-                    self._udf_batch_size,
-                    _SHARD_PROJECT_ORDINAL,
-                )
-            )
-        exchange.shards = replacements
-        exchange.layout = layout
-        merge.layout = layout
-        self._open_merge = None
-        return merge
 
     def _udf_exec_context(self) -> "physical.UDFExecContext":
         if self._udf_context is None:
@@ -930,9 +653,6 @@ class Planner:
         expressions) share one call-site pool, so an LM call repeated
         across items resolves once per distinct argument tuple.
         """
-        sharded = self._shard_projection(source, expressions, layout)
-        if sharded is not None:
-            return sharded
         if self._udf_batch_size is not None and any(
             self._functions.contains_expensive(expression)
             for expression in expressions
@@ -1100,62 +820,6 @@ def _and_all(conjuncts: list[ast.Expression]) -> ast.Expression:
     for conjunct in conjuncts[1:]:
         combined = ast.BinaryOp("AND", combined, conjunct)
     return combined
-
-
-def _select_expressions(
-    select: ast.Select,
-) -> Iterator[ast.Expression]:
-    """Every expression of one SELECT level (sharding only considers
-    single-table statements, so there are no join conditions here)."""
-    for item in select.items:
-        yield item.expression
-    if select.where is not None:
-        yield select.where
-    yield from select.group_by
-    if select.having is not None:
-        yield select.having
-    for order in select.order_by:
-        yield order.expression
-
-
-def _partition_key_values(
-    conjunct: ast.Expression,
-    spec: PartitionSpec,
-    scan: physical.Scan,
-) -> list[object] | None:
-    """Literal values an equality/IN conjunct pins the partition key to.
-
-    Recognizes ``key = literal`` (either side) and ``key IN
-    (literals...)`` where the column reference resolves against the
-    scanned table; anything else is not prunable.
-    """
-    column = spec.column.lower()
-
-    def is_key(ref: ast.Expression) -> bool:
-        return (
-            isinstance(ref, ast.ColumnRef)
-            and ref.name.lower() == column
-            and scan.layout.can_resolve(ref.name, ref.table)
-        )
-
-    if isinstance(conjunct, ast.BinaryOp) and conjunct.op == "=":
-        for ref, literal in (
-            (conjunct.left, conjunct.right),
-            (conjunct.right, conjunct.left),
-        ):
-            if is_key(ref) and isinstance(literal, ast.Literal):
-                return [literal.value]
-        return None
-    if (
-        isinstance(conjunct, ast.InList)
-        and not conjunct.negated
-        and is_key(conjunct.operand)
-        and all(
-            isinstance(item, ast.Literal) for item in conjunct.items
-        )
-    ):
-        return [item.value for item in conjunct.items]
-    return None
 
 
 _SUBQUERY_FIELDS = ("subquery", "query")

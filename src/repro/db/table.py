@@ -7,7 +7,6 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 from repro.db.schema import TableSchema
-from repro.db.shard import PartitionSpec
 from repro.db.types import SQLValue, coerce
 from repro.errors import SchemaError
 
@@ -32,8 +31,6 @@ class Table:
             for column in schema.primary_key_columns
         ]
         self._pk_seen: set[tuple[SQLValue, ...]] = set()
-        self._partition: PartitionSpec | None = None
-        self._partition_rows: list[list[int]] | None = None
 
     # ------------------------------------------------------------------
     # Writes
@@ -47,7 +44,6 @@ class Table:
         self._rows.append(row)
         for position, index in self._indexes.items():
             index[row[position]].append(row_id)
-        self._partition_rows = None
 
     def insert_many(
         self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]
@@ -113,51 +109,7 @@ class Table:
             self._rows.append(row)
         for position in indexed_positions:
             self.create_index(self.schema.columns[position].name)
-        self._partition_rows = None
         return len(self._rows)
-
-    # ------------------------------------------------------------------
-    # Partitioning
-    # ------------------------------------------------------------------
-
-    def set_partitioning(self, spec: PartitionSpec | None) -> None:
-        """Declare (or clear) this table's shard partitioning.
-
-        Partitioning is a *logical* annotation: rows stay in one list
-        in insertion order and every unsharded code path is untouched.
-        The sharded executor reads :meth:`partition_row_ids` to give
-        each shard its global row ids — global, so the merged output
-        order (and Sort's input-position tie-break above it) is
-        independent of the shard count.
-        """
-        if spec is not None:
-            self.schema.column_index(spec.column)  # raises on unknown
-        self._partition = spec
-        self._partition_rows = None
-
-    @property
-    def partition_spec(self) -> PartitionSpec | None:
-        return self._partition
-
-    def partition_row_ids(self) -> list[list[int]]:
-        """Per-shard global row ids, each list ascending.
-
-        Rebuilt lazily after any write; deterministic because the
-        partitioner hashes canonical value encodings, never Python's
-        seeded ``hash``.
-        """
-        spec = self._partition
-        if spec is None:
-            raise SchemaError(
-                f"table {self.schema.name!r} is not partitioned"
-            )
-        if self._partition_rows is None:
-            position = self.schema.column_index(spec.column)
-            shards: list[list[int]] = [[] for _ in range(spec.shards)]
-            for row_id, row in enumerate(self._rows):
-                shards[spec.shard_of(row[position])].append(row_id)
-            self._partition_rows = shards
-        return self._partition_rows
 
     # ------------------------------------------------------------------
     # Reads

@@ -73,20 +73,6 @@ class UDFMemoCache:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
 
-    def snapshot(self) -> dict[Hashable, Any]:
-        """A point-in-time copy of the entries, oldest first.
-
-        The sharded executor reads from a statement-start snapshot so
-        every shard — and every shard *count* — sees the same cache
-        state regardless of what concurrent statements insert mid-scan;
-        promotions and inserts are replayed against the live cache
-        after the shards join (see :mod:`repro.db.shard`).  A
-        ``capacity == 0`` cache snapshots empty.
-        """
-        with racecheck.guard("UDFMemoCache._lock", self._lock):
-            racecheck.read("UDFMemoCache._entries")
-            return dict(self._entries)
-
     def __contains__(self, key: Hashable) -> bool:
         """Membership test; never promotes."""
         with racecheck.guard("UDFMemoCache._lock", self._lock):

@@ -72,16 +72,6 @@ class OperatorStats:
     rows_out: int = 0
     children: list["OperatorStats"] = field(default_factory=list)
     extra: dict = field(default_factory=dict)
-    #: Span name override for trace emission.  Sharded operators set a
-    #: stable label (``Exchange``/``Merge``) via their ``trace_describe``
-    #: attribute because ``describe()`` includes the shard count, which
-    #: must never leak into traces (byte-identical at any shard count).
-    trace_label: str | None = None
-    #: Per-shard pipeline stats are hidden from trace emission: the
-    #: *number* of such subtrees depends on the shard count.  They still
-    #: render in EXPLAIN ANALYZE and still count toward the parent's
-    #: ``rows_in``.
-    hidden: bool = False
 
     @property
     def rows_in(self) -> int:
@@ -131,24 +121,10 @@ def instrument_plan(node) -> tuple[object, OperatorStats]:
             proxy, stats = instrument_plan(child)
             setattr(node, attr, proxy)
             child_stats.append(stats)
-    shards = getattr(node, "shards", None)
-    if isinstance(shards, list):
-        # An exchange: each per-shard pipeline is instrumented (one
-        # proxy per shard, each touched by exactly one shard thread;
-        # the post-join read is ordered by Thread.join), but marked
-        # hidden so traces never depend on the shard count.
-        proxies = []
-        for pipeline in shards:
-            proxy, stats = instrument_plan(pipeline)
-            stats.hidden = True
-            proxies.append(proxy)
-            child_stats.append(stats)
-        node.shards = proxies
     stats = OperatorStats(
         describe=node.describe(),
         children=child_stats,
         extra=getattr(node, "exec_stats", None) or {},
-        trace_label=getattr(node, "trace_describe", None),
     )
     return _CountingNode(node, stats), stats
 
@@ -183,10 +159,10 @@ def emit_operator_spans(
     cost, laying the plan out as a properly nested flame graph on the
     request's virtual timeline.  No-op when tracing is inactive.
     """
-    if not trace.active() or stats.hidden:
+    if not trace.active():
         return
     with trace.span(
-        "op:" + (stats.trace_label or stats.describe),
+        "op:" + stats.describe,
         rows_in=stats.rows_in,
         rows_out=stats.rows_out,
     ):

@@ -82,11 +82,6 @@ class Session:
         self.open = True
         #: True while blocked inside a ``complete``/``complete_batch``.
         self.waiting = False
-        #: True while the requester is blocked on *other* sessions'
-        #: work (a shard join, a cross-shard dedup wait) rather than on
-        #: its own LM call.  A parked session does not hold up the
-        #: flush barrier — it will issue no calls until unparked.
-        self.parked = False
         #: Simulated seconds attributed to this session's responses.
         self.consumed_seconds = 0.0
         self.lm_calls = 0
@@ -103,26 +98,6 @@ class Session:
 
     def __exit__(self, *exc_info: object) -> None:
         self._lm.close_session(self)
-
-
-class _Parked:
-    """Context manager marking a session parked for its duration."""
-
-    __slots__ = ("_lm", "_session")
-
-    def __init__(self, lm: "BatchingLM", session: Session | None) -> None:
-        self._lm = lm
-        self._session = session
-
-    def __enter__(self) -> None:
-        if self._session is not None:
-            self._lm._set_parked(self._session, True)
-        return None
-
-    def __exit__(self, *exc_info: object) -> bool:
-        if self._session is not None:
-            self._lm._set_parked(self._session, False)
-        return False
 
 
 class BatchingLM:
@@ -234,30 +209,6 @@ class BatchingLM:
     def bind(self, session: Session) -> None:
         """Adopt ``session`` for calls made from the current thread."""
         self._local.session = session
-
-    def current_session(self) -> Session | None:
-        """The session bound to the current thread, if any."""
-        return getattr(self._local, "session", None)
-
-    def parked(self):
-        """Park the current thread's session while it waits on others.
-
-        The sharded executor wraps its shard joins (and cross-shard
-        dedup waits) in this: the waiting session will issue no LM
-        calls until the wait returns, so counting it toward the flush
-        barrier would deadlock the shards it is waiting *for*.  A
-        no-op context manager when the thread has no bound session.
-        """
-        return _Parked(self, self.current_session())
-
-    def _set_parked(self, session: Session, parked: bool) -> None:
-        with racecheck.guard("BatchingLM._cv", self._cv):
-            racecheck.write("BatchingLM._sessions")
-            session.parked = parked
-            if parked:
-                # Parking may complete the barrier: every other open
-                # session could already be waiting on the LM.
-                self._flush_if_barrier()
 
     def close_session(self, session: Session) -> None:
         """Deregister; may complete the barrier and trigger a flush."""
@@ -435,18 +386,10 @@ class BatchingLM:
         )
 
     def _flush_if_barrier(self) -> None:
-        """Flush iff no open session is still running (lock held).
-
-        Parked sessions (see :meth:`parked`) are blocked on other
-        sessions' progress, not on their own LM call, so they do not
-        count as "still running".
-        """
+        """Flush iff no open session is still running (lock held)."""
         if not self._pending:
             return
-        if any(
-            s.open and not s.waiting and not s.parked
-            for s in self._sessions
-        ):
+        if any(s.open and not s.waiting for s in self._sessions):
             return
         self._flush()
 

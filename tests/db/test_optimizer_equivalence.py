@@ -254,7 +254,7 @@ class TestPinnedBehaviors:
             list(iterator)
 
     def test_errors_are_not_cached_across_statements(self):
-        """A parked UDF error re-raises per statement; it must never
+        """A held UDF error re-raises per statement; it must never
         enter the cross-statement LRU as a value."""
         rows = [("poison", "Romance", 1)]
         db = build_database(rows, fail_on="poison")
