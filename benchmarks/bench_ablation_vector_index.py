@@ -8,7 +8,7 @@ nprobe.  (FAISS's IndexFlatIP vs IndexIVFFlat trade-off.)
 import numpy as np
 import pytest
 
-from repro.core import VectorSearchExecutor
+from repro.core import row_records
 from repro.embed import HashingEmbedder, serialize_row
 from repro.vector import FlatIndex, IVFIndex
 
@@ -19,15 +19,8 @@ N_CLUSTERS = 24
 
 
 def _corpus(datasets) -> np.ndarray:
-    embedder = HashingEmbedder()
-    texts = []
-    dataset = datasets["formula_1"]
-    for table_name in dataset.db.table_names:
-        table = dataset.db.table(table_name)
-        names = table.schema.column_names
-        for row in table.rows:
-            texts.append(serialize_row(dict(zip(names, row))))
-    return embedder.embed_batch(texts)
+    records = row_records(datasets["formula_1"])
+    return HashingEmbedder().embed_batch([serialize_row(r) for r in records])
 
 
 def _recall_at_10(corpus: np.ndarray, nprobe: int) -> float:

@@ -19,7 +19,11 @@ in the paper's evaluation is a TAG special case:
   (see :mod:`repro.methods.handwritten`)
 """
 
-from repro.core.execution import SQLExecutor, VectorSearchExecutor
+from repro.core.execution import (
+    SQLExecutor,
+    VectorSearchExecutor,
+    row_records,
+)
 from repro.core.generation import (
     MapReduceGenerator,
     NoGenerator,
@@ -70,4 +74,5 @@ __all__ = [
     "VectorSearchExecutor",
     "describe_failure",
     "render_transcript",
+    "row_records",
 ]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -70,51 +71,68 @@ class SQLExecutor:
         ]
 
 
+def row_records(dataset: Dataset) -> list[dict[str, Any]]:
+    """Every row of every table of ``dataset`` as a record, table by
+    table: the row corpus the RAG baselines serialize "- col: val"."""
+    records: list[dict[str, Any]] = []
+    for table_name in dataset.db.table_names:
+        table = dataset.db.table(table_name)
+        names = table.schema.column_names
+        records.extend(dict(zip(names, row)) for row in table.rows)
+    return records
+
+
+@dataclass(frozen=True)
+class RowCorpus:
+    """A dataset's row records and the index of their embeddings."""
+
+    records: list[dict[str, Any]]
+    index: FlatIndex
+
+
+def row_corpus(dataset: Dataset, embedder) -> RowCorpus:
+    """The dataset's embedded row corpus, built once per embedder
+    configuration and shared by every retriever over the dataset.
+
+    Embedders of one type with equal ``dimensions`` and
+    ``use_trigrams`` embed every text identically, so they share it.
+    """
+
+    def build() -> RowCorpus:
+        records = row_records(dataset)
+        index = FlatIndex(embedder.dimensions)
+        index.add(
+            embedder.embed_batch([serialize_row(r) for r in records])
+        )
+        return RowCorpus(records, index)
+
+    key = (
+        "row_corpus",
+        type(embedder),
+        embedder.dimensions,
+        embedder.use_trigrams,
+    )
+    return dataset.derived(key, build)
+
+
 class VectorSearchExecutor:
     """exec over a vector store: query embedding -> top-k row records.
 
-    Builds a row-level index over every table of the dataset on first
-    use (each row serialized "- col: val", as in the paper's RAG
-    baseline) and serves similarity lookups against it.
+    Searches the dataset's shared row corpus (:func:`row_corpus`; each
+    row serialized "- col: val", as in the paper's RAG baseline),
+    building it on first use.
     """
 
-    def __init__(
-        self,
-        dataset: Dataset,
-        embedder,
-        k: int = 10,
-        index: FlatIndex | None = None,
-    ) -> None:
+    def __init__(self, dataset: Dataset, embedder, k: int = 10) -> None:
         self.dataset = dataset
         self.embedder = embedder
         self.k = k
-        self._index = index
-        self._records: list[dict[str, Any]] = []
-        self._built = False
-
-    def _build(self) -> None:
-        texts: list[str] = []
-        for table_name in self.dataset.db.table_names:
-            table = self.dataset.db.table(table_name)
-            names = table.schema.column_names
-            for row in table.rows:
-                record = dict(zip(names, row))
-                self._records.append(record)
-                texts.append(serialize_row(record))
-        vectors = self.embedder.embed_batch(texts)
-        if self._index is None:
-            self._index = FlatIndex(self.embedder.dimensions)
-        self._index.add(vectors)
-        self._built = True
 
     @property
     def corpus_size(self) -> int:
-        if not self._built:
-            self._build()
-        return len(self._records)
+        return len(row_corpus(self.dataset, self.embedder).records)
 
     def execute(self, query: np.ndarray) -> list[dict[str, Any]]:
-        if not self._built:
-            self._build()
-        indices, _scores = self._index.search(query, self.k)
-        return [self._records[int(index)] for index in indices]
+        corpus = row_corpus(self.dataset, self.embedder)
+        indices, _scores = corpus.index.search(query, self.k)
+        return [corpus.records[int(index)] for index in indices]

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import threading
+from collections.abc import Callable, Hashable
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 from repro.db import Database
 from repro.errors import BenchmarkError
 from repro.frame import DataFrame
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -23,6 +28,24 @@ class Dataset:
     db: Database
     description: str
     frames: dict[str, DataFrame] = field(default_factory=dict)
+    _derived: dict[Hashable, object] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    _derived_lock: threading.Lock = field(
+        default_factory=threading.Lock, init=False, repr=False, compare=False
+    )
+
+    def derived(self, key: Hashable, build: Callable[[], T]) -> T:
+        """``build()``, run once per ``key`` for the life of this dataset.
+
+        Holds artifacts computed from the data, such as the embedded
+        row corpus the RAG baselines share.  They reflect the data as
+        it was when first built.
+        """
+        with self._derived_lock:
+            if key not in self._derived:
+                self._derived[key] = build()
+            return self._derived[key]  # type: ignore[return-value]
 
     def frame(self, table: str) -> DataFrame:
         try:

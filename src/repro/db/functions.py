@@ -10,6 +10,7 @@ expensive LM predicate sees as few rows as possible.
 
 from __future__ import annotations
 
+import decimal
 import math
 import sys
 from collections.abc import Callable, Sequence
@@ -197,12 +198,29 @@ def _substr(text: str, start: int, length: int | None = None) -> str:
 
 
 def _round(value: float, digits: int = 0) -> float:
-    # SQLite ROUND uses round-half-away-from-zero, not banker's rounding.
-    factor = 10**digits
-    scaled = value * factor
-    rounded = math.floor(abs(scaled) + 0.5) * (1 if scaled >= 0 else -1)
-    result = rounded / factor
-    return float(result)
+    # SQLite rounds half away from zero and clamps the digit count to
+    # [0, 30].  With digits it rounds the decimal rendering rather than
+    # the binary float: ROUND(1.005, 2) is 1.01, though the double
+    # nearest 1.005 lies just below the tie.
+    value = float(value)
+    digits = min(max(int(digits), 0), 30)
+    if not math.isfinite(value):
+        return value
+    if digits == 0:
+        rounded = math.floor(abs(value) + 0.5)
+        return float(rounded if value >= 0 else -rounded)
+    rendered = decimal.Decimal(repr(value))
+    if rendered.as_tuple().exponent >= -digits:
+        return value
+    # A rendering with more than ``digits`` decimals has at most 17
+    # significant digits, so 64 digits of precision always suffice.
+    return float(
+        rendered.quantize(
+            decimal.Decimal(1).scaleb(-digits),
+            rounding=decimal.ROUND_HALF_UP,
+            context=decimal.Context(prec=64),
+        )
+    )
 
 
 def _instr(haystack: str, needle: str) -> int:

@@ -169,8 +169,11 @@ class TableSource:
 
 @dataclass(frozen=True)
 class SubquerySource:
+    """A FROM-clause subquery; without an alias its columns can only be
+    referenced unqualified, as in SQLite."""
+
     query: "Select"
-    alias: str
+    alias: str | None = None
 
 
 @dataclass(frozen=True)

@@ -343,8 +343,11 @@ class _Parser:
             if self._check_keyword("SELECT"):
                 query = self._parse_select()
                 self._expect_punct(")")
-                self._accept_keyword("AS")
-                alias = self._parse_identifier("subquery alias")
+                alias = None
+                if self._accept_keyword("AS"):
+                    alias = self._parse_identifier("subquery alias")
+                elif self._current.type is TokenType.IDENTIFIER:
+                    alias = self._advance().text
                 return ast.SubquerySource(query, alias)
             source = self._parse_from()
             self._expect_punct(")")

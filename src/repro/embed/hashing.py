@@ -62,29 +62,50 @@ class HashingEmbedder:
 
     def embed(self, text: str) -> np.ndarray:
         """Unit-norm embedding of one text (sentinel for degenerate)."""
-        vector = np.zeros(self.dimensions, dtype=np.float64)
-        words = tokens(text)
-        for word in words:
-            index, sign = _bucket("w:" + word, self.dimensions)
-            vector[index] += sign
-        if self.use_trigrams:
-            lowered = " " + text.lower() + " "
-            for position in range(len(lowered) - 2):
-                trigram = lowered[position : position + 3]
-                index, sign = _bucket("t:" + trigram, self.dimensions)
-                vector[index] += 0.4 * sign
-        norm = np.linalg.norm(vector)
-        if norm > 0:
-            return vector / norm
-        index, sign = _bucket("degenerate:", self.dimensions)
-        vector[index] = sign
-        return vector
+        return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: Sequence[str]) -> np.ndarray:
-        """(n, dimensions) matrix of unit-norm embeddings."""
-        if not texts:
-            return np.zeros((0, self.dimensions), dtype=np.float64)
-        return np.stack([self.embed(text) for text in texts])
+        """(n, dimensions) matrix of unit-norm embeddings.
+
+        Each distinct feature is hashed once per call.  A text's vector
+        is summed in feature order (words at +-1, then trigrams at
+        +-0.4), so every row equals what a per-feature loop adding into
+        a zero vector gives, bit for bit.
+
+        The sums are Python floats and the matrix is never zero-filled:
+        ``np.zeros`` and ``np.bincount`` release the GIL, and each
+        release hands it to another thread, a context switch per call
+        on the serving hot path (the semantic cache and the registry
+        embed one text per request).  The norm is the one release left.
+        """
+        dimensions = self.dimensions
+        buckets: dict[str, tuple[int, float]] = {}
+        matrix = np.empty((len(texts), dimensions), dtype=np.float64)
+        for row, text in enumerate(texts):
+            features = ["w:" + word for word in tokens(text)]
+            if self.use_trigrams:
+                lowered = " " + text.lower() + " "
+                features += [
+                    "t:" + lowered[position : position + 3]
+                    for position in range(len(lowered) - 2)
+                ]
+            sums = [0.0] * dimensions
+            for feature in features:
+                bucket = buckets.get(feature)
+                if bucket is None:
+                    index, sign = _bucket(feature, dimensions)
+                    weight = sign if feature[0] == "w" else 0.4 * sign
+                    bucket = buckets[feature] = (index, weight)
+                sums[bucket[0]] += bucket[1]
+            vector = np.array(sums)
+            norm = np.linalg.norm(vector)
+            if norm > 0:
+                matrix[row] = vector / norm
+            else:
+                index, sign = _bucket("degenerate:", dimensions)
+                sums[index] = sign
+                matrix[row] = sums
+        return matrix
 
 
 def serialize_row(record: Mapping[str, object]) -> str:

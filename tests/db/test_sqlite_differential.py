@@ -149,6 +149,19 @@ QUERIES = [
     "CAST(bonus AS TEXT), CAST(name AS INTEGER), CAST(salary AS TEXT) "
     "FROM emp ORDER BY id",
     "SELECT id, CAST(bonus AS INTEGER) % 4 FROM emp ORDER BY id",
+    # ROUND: half away from zero on the decimal rendering, digit count
+    # clamped to [0, 30] and truncated
+    "SELECT ROUND(1.005, 2), ROUND(2.675, 2), ROUND(-1.005, 2), "
+    "ROUND(0.125, 2), ROUND(123.455, 2), ROUND(0.285, 2), ROUND(2.5), "
+    "ROUND(-2.5)",
+    "SELECT ROUND(15.5, -1), ROUND(1.25, 1.7), ROUND(-0.001, 2), "
+    "ROUND(-0.4), ROUND(1e300, 2), ROUND(7, 2), ROUND(0.49999999999999994)",
+    "SELECT id, ROUND(salary / 7, 2), ROUND(bonus, 1) FROM emp ORDER BY id",
+    # a FROM subquery needs no alias
+    "SELECT COUNT(*) FROM (SELECT dept FROM emp WHERE bonus > 0)",
+    "SELECT dept, n FROM (SELECT dept, COUNT(*) AS n FROM emp "
+    "GROUP BY dept) WHERE n > 1 ORDER BY dept",
+    "SELECT COUNT(*) FROM (SELECT id FROM emp) JOIN dept ON dept.id = 10",
 ]
 
 

@@ -1,7 +1,13 @@
 """Unit tests for the five evaluated methods."""
 
+import sys
+import threading
+
 import pytest
 
+from repro.core import VectorSearchExecutor
+from repro.data import load_domain
+from repro.embed import HashingEmbedder, serialize_row
 from repro.lm import LMConfig, SimulatedLM
 from repro.methods import (
     HandwrittenTAGMethod,
@@ -11,6 +17,7 @@ from repro.methods import (
     Text2SQLMethod,
     default_methods,
 )
+from repro.vector import FlatIndex
 
 
 def _spec(suite, qid):
@@ -157,3 +164,95 @@ class TestHandwrittenTAG:
             spec, datasets[spec.domain]
         )
         assert first.answer == second.answer
+
+
+class TestSharedRowCorpus:
+    """RAG and Retrieval + LM Rank search one row corpus per dataset."""
+
+    DOMAIN = "california_schools"
+
+    @pytest.fixture()
+    def embed_calls(self, monkeypatch):
+        calls = []
+        original = HashingEmbedder.embed_batch
+
+        def counting(embedder, texts):
+            calls.append(len(texts))
+            return original(embedder, texts)
+
+        monkeypatch.setattr(HashingEmbedder, "embed_batch", counting)
+        return calls
+
+    def test_one_embedding_pass_per_dataset(self, embed_calls):
+        dataset = load_domain(self.DOMAIN)
+        rows = sum(len(dataset.db.table(t)) for t in dataset.db.table_names)
+        for method in (RAGMethod(_lm()), RetrievalRerankMethod(_lm())):
+            method.prepare(dataset)
+        assert embed_calls == [rows]
+
+    def test_fresh_dataset_is_embedded_again(self, embed_calls):
+        # The corpus lives on the dataset object: nothing survives a
+        # reload, so set-up always pays the cold build.
+        for _ in range(2):
+            dataset = load_domain(self.DOMAIN)
+            RAGMethod(_lm()).prepare(dataset)
+            RetrievalRerankMethod(_lm()).prepare(dataset)
+        assert len(embed_calls) == 2
+
+    def test_concurrent_first_use_builds_once(self, embed_calls):
+        from repro.data import accounts
+
+        dataset = accounts.build(seed=0)
+        executors = [
+            VectorSearchExecutor(dataset, HashingEmbedder(), k=3)
+            for _ in range(8)
+        ]
+        sizes = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(
+                    target=lambda e=e: sizes.append(e.corpus_size)
+                )
+                for e in executors
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(embed_calls) == 1
+        assert sizes == [embed_calls[0]] * 8
+
+    def test_retrieved_records_match_a_private_index(self, suite):
+        """Each method's top-k equals a search over its own freshly
+        built index, as each method built one before the corpus was
+        shared."""
+        dataset = load_domain(self.DOMAIN)
+        embedder = HashingEmbedder()
+        records = [
+            dict(zip(table.schema.column_names, row))
+            for table in map(dataset.db.table, dataset.db.table_names)
+            for row in table.rows
+        ]
+        private = FlatIndex(embedder.dimensions)
+        private.add(embedder.embed_batch([serialize_row(r) for r in records]))
+        rag = RAGMethod(_lm(), k=10)
+        rerank = RetrievalRerankMethod(_lm(), candidates=30)
+        rag.prepare(dataset)
+        rerank.prepare(dataset)
+        questions = [s.question for s in suite if s.domain == self.DOMAIN]
+        assert questions
+        for question in questions:
+            query = embedder.embed(question)
+            for executor, k in (
+                (rag.executor(dataset), 10),
+                (rerank._executor(dataset), 30),
+            ):
+                indices, _ = private.search(query, k)
+                assert executor.execute(query) == [
+                    records[i] for i in indices
+                ]
